@@ -9,7 +9,7 @@ package consensus_test
 //	go test -bench=. -benchmem
 //
 // Each experiment benchmark executes the full quick-scale experiment per
-// iteration and reports rows produced; EXPERIMENTS.md records the tables.
+// iteration and reports rows produced; DESIGN.md §4 indexes the tables.
 
 import (
 	"context"

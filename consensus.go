@@ -10,7 +10,7 @@
 //     2-Median and the Undecided-State Dynamics;
 //   - the Runner: one composable, context-aware entry point that executes
 //     any rule on any engine (exact batch law, per-node agents, arbitrary
-//     graph topology, goroutine message-passing cluster, certified
+//     graph topology, discrete-event message-passing network, certified
 //     analytic fast-forward) with replica fan-out, all configured through
 //     functional options;
 //   - the paper's anonymous-consensus-process comparison framework:
@@ -36,8 +36,8 @@
 // executed as a service: cmd/consensus-serve is an HTTP daemon with a
 // content-addressed result cache and streaming progress (DESIGN.md §9).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduction results; cmd/consensus-bench regenerates every table.
+// See DESIGN.md for the system inventory and DESIGN.md §4 for the
+// experiment index; cmd/consensus-bench regenerates every table.
 package consensus
 
 import (
@@ -344,6 +344,6 @@ func ExperimentByID(id string) (Experiment, bool) { return expt.ByID(id) }
 const (
 	// QuickScale keeps the full suite in CI-sized time.
 	QuickScale = expt.Quick
-	// FullScale is the scale EXPERIMENTS.md reports.
+	// FullScale is the reproduction scale of the DESIGN.md §4 experiments.
 	FullScale = expt.Full
 )

@@ -66,7 +66,9 @@ type MeanFielder interface {
 	// MeanFieldStep writes α(x) into out (len(out) == len(x); x is a
 	// probability vector over slots) and reports whether the map is
 	// evaluable at this support size — h-Majority's enumerated map is
-	// bounded by rules.StepEnumerationMaxTerms.
+	// bounded by rules.StepEnumerationMaxTerms alone, independent of n
+	// (its Step also weighs enumeration against per-node sampling, an
+	// alternative the map does not have).
 	MeanFieldStep(x, out []float64) bool
 	// MeanFieldLipschitz returns an upper bound on the L1→L1 Lipschitz
 	// constant of the map, valid on the intersection of the simplex with

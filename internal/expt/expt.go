@@ -25,7 +25,7 @@ import (
 type Scale = scenario.Scale
 
 // Experiment budgets. Quick keeps the full suite in CI-sized time; Full is
-// the scale EXPERIMENTS.md reports.
+// the reproduction scale of the DESIGN.md §4 experiments.
 const (
 	Quick = scenario.Quick
 	Full  = scenario.Full

@@ -31,6 +31,24 @@ func BenchmarkBinomial(b *testing.B) {
 	}
 }
 
+// BenchmarkBinomialInversion sweeps the inversion regime's mean. At small
+// np nearly every draw is 0 and takes the Exp/Log-free zero squeeze; by
+// np = 10 the CDF walk dominates.
+func BenchmarkBinomialInversion(b *testing.B) {
+	const n = 1000
+	for _, np := range []float64{1e-3, 0.1, 1, 10} {
+		b.Run(fmt.Sprintf("np=%g", np), func(b *testing.B) {
+			r := New(1)
+			p := np / n
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += r.Binomial(n, p)
+			}
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkMultinomial sweeps the category count: the conditional-binomial
 // scheme is O(k) per draw.
 func BenchmarkMultinomial(b *testing.B) {

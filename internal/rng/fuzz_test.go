@@ -12,6 +12,9 @@ import (
 // `go test -fuzz=FuzzBinomial ./internal/rng` explores further. The
 // invariants checked are the ones a sampler bug would corrupt silently:
 // support bounds, total-count conservation, and first-moment sanity.
+// FuzzBinomial also replays every draw through the pre-squeeze reference
+// sampler (squeeze_test.go) on a twin stream and requires identical
+// samples.
 
 func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(1), 10, 0.5)
@@ -21,6 +24,8 @@ func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(5), 100000, 0.25) // BTRS branch
 	f.Add(uint64(6), 7, 1.0)
 	f.Add(uint64(7), 12, 0.0)
+	f.Add(uint64(8), 1_000_000, 1e-9) // squeeze almost always fires
+	f.Add(uint64(9), 3, 0.4999999)
 	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64) {
 		if n < 0 || n > 1_000_000 {
 			t.Skip("n out of the supported range")
@@ -28,11 +33,14 @@ func FuzzBinomial(f *testing.F) {
 		if math.IsNaN(p) || p < 0 || p > 1 {
 			t.Skip("p outside [0, 1]")
 		}
-		r := New(seed)
+		r, ref := New(seed), New(seed)
 		const draws = 64
 		sum := 0.0
 		for i := 0; i < draws; i++ {
 			k := r.Binomial(n, p)
+			if want := binomialRef(ref, n, p); k != want {
+				t.Fatalf("Binomial(%d, %g) draw %d = %d, pre-squeeze reference %d", n, p, i, k, want)
+			}
 			if k < 0 || k > n {
 				t.Fatalf("Binomial(%d, %g) = %d outside [0, %d]", n, p, k, n)
 			}

@@ -129,21 +129,39 @@ func (r *RNG) Binomial(n int, p float64) int {
 		return n - r.Binomial(n, 1-p)
 	}
 	if float64(n)*p < _inversionMeanCutoff {
-		return r.binomialInversion(n, p)
+		return binomialInversion(n, p, r.src.Float64())
 	}
 	return r.binomialBTRS(n, p)
 }
 
-// binomialInversion samples Binomial(n, p) by walking the CDF. Expected time
-// O(np), used only for np < _inversionMeanCutoff.
+// _zeroSqueezeSlack is the absolute margin between the zero-outcome squeeze
+// bound and the computed P(X = 0). It covers the float error of both the
+// bound (a few ulps of 1) and Exp(n·Log(q)) (about 1e-15 wherever the bound
+// is positive), with four orders of magnitude to spare.
+const _zeroSqueezeSlack = 0x1p-40
+
+// binomialInversion samples Binomial(n, p), for 0 < p <= 1/2 and n >= 1,
+// by walking the CDF from the uniform u. Expected time O(np), used only
+// for np < _inversionMeanCutoff.
+//
+// In the sparse regime most draws return 0, so u is first compared with a
+// cheap lower bound on P(X = 0) that needs no Exp or Log. The squeeze is
+// bit-exact with the plain CDF walk: d = 1 - q is exact (Sterbenz, since
+// q ∈ [1/2, 1)), Bernoulli's inequality gives q^n >= 1 - n·d, and the
+// computed f below is within ~1e-15 of q^n whenever that bound is
+// positive, so u <= 1 - n·d - slack implies u <= f, where the walk also
+// returns 0. The bound uses d rather than p on purpose: at n ≈ 1e9 the
+// rounding of q = 1 - p moves q^n by about n·2⁻⁵³.
 //
 //consensus:hotpath
-func (r *RNG) binomialInversion(n int, p float64) int {
+func binomialInversion(n int, p, u float64) int {
 	q := 1 - p
+	if u <= 1-float64(n)*(1-q)-_zeroSqueezeSlack {
+		return 0
+	}
 	// f = P(X = 0) = q^n, computed in log space to avoid underflow for
 	// large n (np < 30 guarantees q^n >= ~e^-30-ish, comfortably positive).
 	f := math.Exp(float64(n) * math.Log(q))
-	u := r.src.Float64()
 	ratio := p / q
 	k := 0
 	for u > f && k < n {

@@ -83,6 +83,48 @@ func TestHMajorityStepRegimes(t *testing.T) {
 	}
 }
 
+// TestCountBasedStepChoice pins the cost-calibrated law choice: the same
+// support flips from per-node to enumeration as n grows, and the
+// StepEnumerationMaxTerms cap holds at any n, for Step and MeanFieldStep.
+func TestCountBasedStepChoice(t *testing.T) {
+	cases := []struct {
+		name       string
+		n, h, s    int
+		countBased bool
+	}{
+		// E9 quick: 74 613 terms against 6 144 pulls.
+		{"E9 quick n=1024 h=6 s=17", 1024, 6, 17, false},
+		{"n=1e6 h=6 s=17", 1_000_000, 6, 17, true},
+		// 792 terms: a 6·792 = 4 752 pull budget needs n·h >= 4 752.
+		{"n=950 h=5 s=8", 950, 5, 8, false},
+		{"n=951 h=5 s=8", 951, 5, 8, true},
+		// The determinism pin's start: 56 terms against 500 pulls.
+		{"n=100 h=5 s=4", 100, 5, 4, true},
+		// C(28,5) = 98 280 terms fits the cap, C(29,5) = 118 755 does not.
+		{"n=1e9 h=5 s=24", 1_000_000_000, 5, 24, true},
+		{"n=1e9 h=5 s=25", 1_000_000_000, 5, 25, false},
+		// A single live color is one term; only tiny n·h samples per node.
+		{"n=1 h=1 s=1", 1, 1, 1, false},
+		{"n=6 h=1 s=1", 6, 1, 1, true},
+	}
+	for _, tc := range cases {
+		if got := countBasedStep(tc.n, tc.h, tc.s); got != tc.countBased {
+			t.Errorf("%s: countBasedStep = %v, want %v", tc.name, got, tc.countBased)
+		}
+	}
+	// The mean-field map has no n, only the cap.
+	m := NewHMajority(5)
+	for _, s := range []int{24, 25} {
+		x := make([]float64, s)
+		for i := range x {
+			x[i] = 1 / float64(s)
+		}
+		if got, want := m.MeanFieldStep(x, make([]float64, s)), s == 24; got != want {
+			t.Errorf("MeanFieldStep h=5 over %d colors = %v, want %v", s, got, want)
+		}
+	}
+}
+
 // TestHMajorityCountBasedMatchesPerNode cross-validates the two batch-step
 // regimes over whole trajectories: with forcePerNode pinning the O(n·h)
 // sampler, the consensus-time and winner distributions must be

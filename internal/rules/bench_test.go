@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/ignorecomply/consensus/internal/analytic"
 	"github.com/ignorecomply/consensus/internal/config"
 	"github.com/ignorecomply/consensus/internal/core"
 	"github.com/ignorecomply/consensus/internal/rng"
@@ -63,4 +64,52 @@ func BenchmarkAlphaEval(b *testing.B) {
 			m.Alpha(cfg, out)
 		}
 	})
+}
+
+// The two benchmarks below calibrate HMajority's law choice
+// (enumTermCostInDraws): the cost of one α-enumeration term against one
+// per-node pull. Both report their unit cost as a custom metric.
+
+// BenchmarkHMajorityEnumTerm measures the count-based law's enumeration
+// cost per sample-count outcome, over 12 equal live colors.
+func BenchmarkHMajorityEnumTerm(b *testing.B) {
+	const s = 12
+	x := make([]float64, s)
+	for i := range x {
+		x[i] = 1.0 / s
+	}
+	out := make([]float64, s)
+	for h := 3; h <= 6; h++ {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			var enum analytic.AlphaEnumerator
+			terms := analytic.HMajorityTerms(h, s, analytic.MaxEnumerationTerms)
+			for i := 0; i < b.N; i++ {
+				if err := enum.Alpha(x, h, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(terms), "ns/term")
+		})
+	}
+}
+
+// BenchmarkHMajorityPerNodeDraw measures the per-node law's cost per pull
+// (alias DrawN plus the plurality scan, amortized over the h pulls of a
+// node) at E9's quick population, n = 1024 over 17 live colors.
+func BenchmarkHMajorityPerNodeDraw(b *testing.B) {
+	const n, k = 1024, 17
+	for h := 3; h <= 6; h++ {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			m := NewHMajority(h)
+			r := rng.New(1)
+			start := config.Balanced(n, k)
+			c := start.Clone()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(c.CountsView(), start.CountsView())
+				m.stepPerNode(c, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*h), "ns/draw")
+		})
+	}
 }

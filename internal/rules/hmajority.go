@@ -19,14 +19,15 @@ import (
 // collapses to Voter, as the paper notes below Conjecture 1.
 //
 // h-Majority is an AC-process, but its process function has no closed form
-// for h >= 4. Its batch step is count-based wherever the exact law is
-// affordable: the process function α(c) is enumerated exactly
-// (analytic.AlphaEnumerator, Eq. 2 generalizes to plurality-of-h) and the
-// round is one Mult(n, α) draw — O(k + terms), independent of n. The
-// enumeration has C(h+support-1, support-1) terms; beyond
-// StepEnumerationMaxTerms the step falls back to sampling each node's h
-// pulls from an alias table over the color distribution, the literal
-// O(n·h) law. AlphaExact exposes the enumerated process function
+// for h >= 4. Its batch step has two exact laws and takes the cheaper one
+// each round. The count-based law enumerates the process function α(c)
+// exactly (analytic.AlphaEnumerator, Eq. 2 generalizes to plurality-of-h)
+// and draws Mult(n, α) — O(k + terms), independent of n, with
+// C(h+support-1, support-1) terms. The per-node law samples each node's h
+// pulls from an alias table over the color distribution — O(n·h). The
+// choice (countBasedStep) weighs the two by their measured unit costs, so
+// a wide support at small n samples per node and the same support at
+// large n enumerates. AlphaExact exposes the enumerated process function
 // directly (see analytic.HMajorityAlpha).
 type HMajority struct {
 	h      int
@@ -42,14 +43,31 @@ type HMajority struct {
 	forcePerNode bool
 }
 
-// StepEnumerationMaxTerms is the cutoff between the two batch-step regimes:
-// the count-based exact law enumerates at most this many sample-count
-// outcomes per round. C(h+s-1, s-1) grows fast — h=5 over 8 live colors is
-// 792 terms, over 16 colors 15 504 — so production-scale populations with
-// moderate color counts stay count-based (n-independent) and only wide
-// supports pay the per-node O(n·h) price. The bound is far below
+// StepEnumerationMaxTerms caps the count-based law at any population size:
+// Step enumerates at most this many sample-count outcomes per round, and
+// fewer when the per-node law is cheaper (countBasedStep). C(h+s-1, s-1)
+// grows fast — h=5 over 8 live colors is 792 terms, over 16 colors
+// 15 504 — so large populations with moderate color counts stay
+// count-based (n-independent). The cap is far below
 // analytic.MaxEnumerationTerms because Step pays it every round, not once.
+// MeanFieldStep, which has no per-node alternative, uses this cap alone.
 const StepEnumerationMaxTerms = 100_000
+
+// enumTermCostInDraws is the cost of one α-enumeration term in units of
+// one per-node pull. BenchmarkHMajorityEnumTerm measures about 125 ns per
+// term (h = 3…6, 12 live colors) and BenchmarkHMajorityPerNodeDraw about
+// 20 ns per pull (n = 1024, 17 live colors), on a 2-CPU Intel Xeon with
+// go1.24; 125/20 rounds to 6.
+const enumTermCostInDraws = 6
+
+// countBasedStep reports whether a round over n nodes and the given live
+// support is cheaper by enumeration (terms·enumTermCostInDraws <= n·h)
+// than by per-node sampling, within StepEnumerationMaxTerms. Both laws are
+// exact, so this is purely a cost decision.
+func countBasedStep(n, h, support int) bool {
+	terms := analytic.HMajorityTerms(h, support, StepEnumerationMaxTerms)
+	return terms > 0 && terms*enumTermCostInDraws <= n*h
+}
 
 var _ core.Rule = (*HMajority)(nil)
 var _ core.NodeRule = (*HMajority)(nil)
@@ -73,8 +91,8 @@ func (m *HMajority) H() int { return m.h }
 // Name implements core.Rule.
 func (m *HMajority) Name() string { return fmt.Sprintf("%d-majority", m.h) }
 
-// Step implements core.Rule. When the live support is within the
-// enumeration bound it applies the count-based exact law — enumerate α(c),
+// Step implements core.Rule. When enumeration is the cheaper law
+// (countBasedStep) it applies the count-based exact law — enumerate α(c),
 // draw Mult(n, α) — in time independent of n; otherwise it draws every
 // node's h samples from the current color distribution (exact under
 // Uniform Pull: a uniform node sample is a categorical color sample with
@@ -83,7 +101,7 @@ func (m *HMajority) Name() string { return fmt.Sprintf("%d-majority", m.h) }
 //consensus:hotpath
 func (m *HMajority) Step(c *config.Config, r *rng.RNG) {
 	counts := c.CountsView()
-	if !m.forcePerNode && analytic.HMajorityTerms(m.h, c.Remaining(), StepEnumerationMaxTerms) > 0 {
+	if !m.forcePerNode && countBasedStep(c.N(), m.h, c.Remaining()) {
 		m.fracs = resizeFloats(m.fracs, len(counts))
 		m.alpha = resizeFloats(m.alpha, len(counts))
 		c.Fractions(m.fracs)
@@ -119,10 +137,10 @@ func (m *HMajority) stepPerNode(c *config.Config, r *rng.RNG) {
 }
 
 // MeanFieldStep implements core.MeanFielder: the plurality-of-h map by
-// exact enumeration, evaluable while the live support stays within the
-// per-round term bound (StepEnumerationMaxTerms — the same cutoff as the
-// count-based Step, so wherever the exact law is affordable the
-// mean-field map is too).
+// exact enumeration, evaluable while the live support stays within
+// StepEnumerationMaxTerms. The cap is n-free on purpose: the map has no
+// per-node alternative, so wherever Step may enumerate at some population
+// size the mean-field map is evaluable too.
 func (m *HMajority) MeanFieldStep(x, out []float64) bool {
 	live := 0
 	for _, v := range x {
@@ -130,7 +148,7 @@ func (m *HMajority) MeanFieldStep(x, out []float64) bool {
 			live++
 		}
 	}
-	if analytic.HMajorityTerms(m.h, live, StepEnumerationMaxTerms) == 0 {
+	if analytic.HMajorityTerms(m.h, live, StepEnumerationMaxTerms) < 0 {
 		return false
 	}
 	return m.enum.Alpha(x, m.h, out) == nil

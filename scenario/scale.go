@@ -7,7 +7,7 @@ import "fmt"
 type Scale int
 
 // Experiment budgets. Quick keeps the full suite in CI-sized time; Full is
-// the scale EXPERIMENTS.md reports.
+// the reproduction scale of the DESIGN.md §4 experiments.
 const (
 	Quick Scale = iota + 1
 	Full
