@@ -16,7 +16,10 @@ func BenchmarkBinomial(b *testing.B) {
 	}{
 		{name: "inversion/np=5", n: 1000, p: 0.005},
 		{name: "inversion/np=25", n: 1000, p: 0.025},
+		{name: "btrs/np=40", n: 1000, p: 0.04},
 		{name: "btrs/np=100", n: 1000, p: 0.1},
+		{name: "btrs/np=2048", n: 4096, p: 0.5},
+		{name: "btrs/np=1e5", n: 1_000_000, p: 0.1},
 		{name: "btrs/np=1e6", n: 10_000_000, p: 0.1},
 	}
 	for _, tc := range cases {

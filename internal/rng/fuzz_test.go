@@ -12,9 +12,10 @@ import (
 // `go test -fuzz=FuzzBinomial ./internal/rng` explores further. The
 // invariants checked are the ones a sampler bug would corrupt silently:
 // support bounds, total-count conservation, and first-moment sanity.
-// FuzzBinomial also replays every draw through the pre-squeeze reference
-// sampler (squeeze_test.go) on a twin stream and requires identical
-// samples.
+// FuzzBinomial also replays every draw through the reference samplers
+// (squeeze_test.go: inversion without the zero squeeze, BTRS with eager
+// set-up) on a twin stream and requires identical samples and identical
+// next words.
 
 func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(1), 10, 0.5)
@@ -26,6 +27,9 @@ func FuzzBinomial(f *testing.F) {
 	f.Add(uint64(7), 12, 0.0)
 	f.Add(uint64(8), 1_000_000, 1e-9) // squeeze almost always fires
 	f.Add(uint64(9), 3, 0.4999999)
+	f.Add(uint64(10), 80, 0.5)        // BTRS at its smallest mean
+	f.Add(uint64(11), 1_000_000, 0.9) // mirrored BTRS, np = 1e5
+	f.Add(uint64(12), 1_000_000, 0.5) // np = 5e5
 	f.Fuzz(func(t *testing.T, seed uint64, n int, p float64) {
 		if n < 0 || n > 1_000_000 {
 			t.Skip("n out of the supported range")
@@ -39,7 +43,10 @@ func FuzzBinomial(f *testing.F) {
 		for i := 0; i < draws; i++ {
 			k := r.Binomial(n, p)
 			if want := binomialRef(ref, n, p); k != want {
-				t.Fatalf("Binomial(%d, %g) draw %d = %d, pre-squeeze reference %d", n, p, i, k, want)
+				t.Fatalf("Binomial(%d, %g) draw %d = %d, reference %d", n, p, i, k, want)
+			}
+			if w, wr := r.Uint64(), ref.Uint64(); w != wr {
+				t.Fatalf("Binomial(%d, %g) draw %d: next word %#x, reference %#x", n, p, i, w, wr)
 			}
 			if k < 0 || k > n {
 				t.Fatalf("Binomial(%d, %g) = %d outside [0, %d]", n, p, k, n)

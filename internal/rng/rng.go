@@ -176,20 +176,25 @@ func binomialInversion(n int, p, u float64) int {
 // BTRS transformed-rejection algorithm of Hörmann (1993), "The generation of
 // binomial random variates". Expected number of iterations is ~1.15.
 //
+// Most draws are accepted by the box squeeze, which needs none of the
+// log-pmf constants (lpq, m, h: two Lgamma calls and one Log), so they
+// are computed on the first squeeze rejection only. The expressions are
+// the same as when they were computed up front, so samples and words
+// consumed are unchanged.
+//
 //consensus:hotpath
 func (r *RNG) binomialBTRS(n int, p float64) int {
 	var (
-		fn    = float64(n)
-		q     = 1 - p
-		spq   = math.Sqrt(fn * p * q)
-		b     = 1.15 + 2.53*spq
-		a     = -0.0873 + 0.0248*b + 0.01*p
-		c     = fn*p + 0.5
-		vr    = 0.92 - 4.2/b
-		alpha = (2.83 + 5.1/b) * spq
-		lpq   = math.Log(p / q)
-		m     = math.Floor((fn + 1) * p)
-		h     = lgamma(m+1) + lgamma(fn-m+1)
+		fn  = float64(n)
+		q   = 1 - p
+		spq = math.Sqrt(fn * p * q)
+		b   = 1.15 + 2.53*spq
+		a   = -0.0873 + 0.0248*b + 0.01*p
+		c   = fn*p + 0.5
+		vr  = 0.92 - 4.2/b
+
+		ready            bool
+		alpha, lpq, m, h float64
 	)
 	for {
 		u := r.src.Float64() - 0.5
@@ -202,6 +207,13 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 		// Squeeze: the box region is entirely under the target density.
 		if us >= 0.07 && v <= vr {
 			return int(kf)
+		}
+		if !ready {
+			alpha = (2.83 + 5.1/b) * spq
+			lpq = math.Log(p / q)
+			m = math.Floor((fn + 1) * p)
+			h = lgamma(m+1) + lgamma(fn-m+1)
+			ready = true
 		}
 		// Full acceptance test against the exact log-pmf ratio.
 		lhs := math.Log(v * alpha / (a/(us*us) + b))

@@ -11,24 +11,28 @@ import (
 
 // TestBatchStepZeroSteadyStateAllocs: a steady-state batch round must not
 // allocate for the rules the hot loop leans on — the AC laws (Voter,
-// 3-Majority), the keeper/switcher laws (2-Choices, LazyVoter), and the
-// count-based h-Majority law, whose per-round enumeration reuses the
-// scratch held by analytic.AlphaEnumerator.
+// 3-Majority), the keeper/switcher laws (2-Choices' stepDense over 8
+// colors, LazyVoter), 2-Choices' sparse law (prefixSums and stepSparse
+// from the n-color start), and the count-based h-Majority law, whose
+// per-round enumeration reuses the scratch held by
+// analytic.AlphaEnumerator.
 func TestBatchStepZeroSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
-		name string
-		rule core.Rule
+		name  string
+		rule  core.Rule
+		start *config.Config
 	}{
-		{"voter", NewVoter()},
-		{"3-majority", NewThreeMajority()},
-		{"2-choices", NewTwoChoices()},
-		{"lazy-voter", NewLazyVoter(0.5)},
-		{"5-majority-count-based", NewHMajority(5)},
+		{"voter", NewVoter(), config.Balanced(4096, 8)},
+		{"3-majority", NewThreeMajority(), config.Balanced(4096, 8)},
+		{"2-choices", NewTwoChoices(), config.Balanced(4096, 8)},
+		{"2-choices-sparse", NewTwoChoices(), config.Singleton(4096)},
+		{"lazy-voter", NewLazyVoter(0.5), config.Balanced(4096, 8)},
+		{"5-majority-count-based", NewHMajority(5), config.Balanced(4096, 8)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rng.New(31)
-			c := config.Balanced(4096, 8)
+			c := tc.start
 			for i := 0; i < 5; i++ {
 				tc.rule.Step(c, r) // reach steady state
 			}

@@ -113,3 +113,53 @@ func BenchmarkHMajorityPerNodeDraw(b *testing.B) {
 		})
 	}
 }
+
+// The two benchmarks below calibrate TwoChoices' law choice
+// (switcherCostInColors): the cost of one sparse-law switcher against one
+// live color on the dense law. Both report their unit cost as a custom
+// metric and restore the start before every round. Both run n = 16 384
+// over k equal colors, n·S = n/k switchers a round, and k spans the
+// crossover: 4 switchers per live color at k = 64, one at k = 128.
+
+// BenchmarkTwoChoicesDenseLiveColor measures the keeper/switcher law's
+// cost per live color.
+func BenchmarkTwoChoicesDenseLiveColor(b *testing.B) {
+	const n = 16_384
+	for _, k := range []int{64, 96, 128} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			tc := NewTwoChoices()
+			r := rng.New(1)
+			start := config.Balanced(n, k)
+			c := start.Clone()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(c.CountsView(), start.CountsView())
+				tc.stepDense(c, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/color")
+		})
+	}
+}
+
+// BenchmarkTwoChoicesSparseSwitcher measures the sparse law's cost per
+// switcher, beyond the prefix pass both laws share.
+func BenchmarkTwoChoicesSparseSwitcher(b *testing.B) {
+	const n = 16_384
+	for _, k := range []int{64, 96, 128} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			tc := NewTwoChoices()
+			r := rng.New(1)
+			start := config.Balanced(n, k)
+			counts := start.CountsView()
+			total, sumSq, _ := tc.prefixSums(counts)
+			c := start.Clone()
+			switchers := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(c.CountsView(), counts)
+				switchers += tc.stepSparse(c.CountsView(), total, sumSq, r)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(switchers), "ns/switcher")
+		})
+	}
+}

@@ -202,6 +202,26 @@ func TestShardedAgentsUnderAdversaryMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestTwoChoicesBatchMatchesAgentsFromManyColors: from the n-color start,
+// where batch 2-Choices takes its sparse law, the batch engine and the
+// literal per-node agents engine must induce the same consensus-time
+// distribution (two-sample KS at stats.DefaultEquivalenceAlpha).
+func TestTwoChoicesBatchMatchesAgentsFromManyColors(t *testing.T) {
+	const reps = 100
+	start := config.Singleton(256)
+	rn := NewFactoryRunner(func() core.Rule { return rules.NewTwoChoices() })
+	batch := shardedTimes(t, rn.With(WithEngine(EngineBatch)), start, reps, 9900)
+	agents := shardedTimes(t, rn.With(WithEngine(EngineAgents), WithParallelism(1)), start, reps, 10_000)
+	res, err := stats.TwoSampleKS(batch, agents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.IndistinguishableAt(stats.DefaultEquivalenceAlpha) {
+		t.Errorf("batch and agents 2-Choices consensus times differ: D=%.3f p=%.2g (means %.1f, %.1f)",
+			res.D, res.P, stats.Mean(batch), stats.Mean(agents))
+	}
+}
+
 // TestShardedWinnerDistributionMatches: beyond timing, the sharded engine
 // must elect the same winner distribution; from a balanced start each color
 // must win equally often (chi-square homogeneity between p=1 and p=4).

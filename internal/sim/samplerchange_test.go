@@ -40,8 +40,7 @@ const samplerFixturePath = "testdata/sampler_equivalence.json"
 
 type equivSuite struct {
 	Name string `json:"name"`
-	// K is the number of colors in the balanced start (winner labels are
-	// 0..K-1).
+	// K is the number of colors in the start (winner labels are 0..K-1).
 	K       int   `json:"k"`
 	Rounds  []int `json:"rounds"`
 	Winners []int `json:"winners"`
@@ -54,7 +53,8 @@ type equivFixture struct {
 
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
 // stream the samplers feed, with and without the §5 adversary, plus the
-// h-Majority rule on both the batch law and the per-node engine.
+// h-Majority rule on both the batch law and the per-node engine, and
+// batch 2-Choices from many colors.
 var equivSuiteDefs = []struct {
 	name string
 	k    int
@@ -113,6 +113,15 @@ var equivSuiteDefs = []struct {
 			return NewRunner(rules.NewHMajority(5),
 				WithEngine(EngineAgents), WithSeed(45_000+uint64(rep))).
 				Run(context.Background(), config.Balanced(200, 4))
+		},
+	},
+	{
+		// The many-color regime, where 2-Choices takes its sparse law.
+		name: "batch/2-choices/many-colors", k: 256, reps: 120,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewTwoChoices(),
+				WithEngine(EngineBatch), WithSeed(46_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(256))
 		},
 	},
 }
