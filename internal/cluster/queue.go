@@ -11,6 +11,14 @@ package cluster
 // Buckets are recycled through a free list: a steady-state lockstep round
 // touches exactly two buckets (the tick being processed and the next
 // round's wake bucket) and allocates nothing.
+//
+// Finding the pending bucket of a tick is one array probe in the common
+// case: a direct-mapped window indexes pending buckets by tick mod
+// queueWindow. A tick whose window entry is held by another pending tick
+// goes to the byTick map instead, which is only consulted while it is
+// non-empty; with every pending tick less than queueWindow ahead of the
+// earliest one (any delay + jitter and retry timeout below it) no two
+// collide and nothing is hashed.
 
 // event is one pending network delivery.
 type event struct {
@@ -39,10 +47,16 @@ type bucket struct {
 	wakes  []int32
 }
 
+// queueWindow is the number of direct-mapped bucket entries (a power of
+// two).
+const queueWindow = 64
+
 // eventQueue is the min-heap of buckets, with a by-tick index so that
-// scheduling into an existing tick is O(1).
+// scheduling into an existing tick is O(1). Every pending bucket is in
+// exactly one of window[at % queueWindow] and byTick.
 type eventQueue struct {
 	heap   []*bucket
+	window [queueWindow]*bucket
 	byTick map[int64]*bucket
 	free   []*bucket
 }
@@ -54,8 +68,14 @@ func newEventQueue() eventQueue {
 // bucketAt returns the bucket for tick t, creating (or recycling) it if
 // none is pending.
 func (q *eventQueue) bucketAt(t int64) *bucket {
-	if b, ok := q.byTick[t]; ok {
+	slot := &q.window[t&(queueWindow-1)]
+	if b := *slot; b != nil && b.at == t {
 		return b
+	}
+	if len(q.byTick) > 0 {
+		if b, ok := q.byTick[t]; ok {
+			return b
+		}
 	}
 	var b *bucket
 	if len(q.free) > 0 {
@@ -65,7 +85,11 @@ func (q *eventQueue) bucketAt(t int64) *bucket {
 		b = &bucket{}
 	}
 	b.at = t
-	q.byTick[t] = b
+	if *slot == nil {
+		*slot = b
+	} else {
+		q.byTick[t] = b
+	}
 	q.heap = append(q.heap, b)
 	q.up(len(q.heap) - 1)
 	return b
@@ -84,7 +108,11 @@ func (q *eventQueue) pop() *bucket {
 	if last > 0 {
 		q.down(0)
 	}
-	delete(q.byTick, b.at)
+	if slot := &q.window[b.at&(queueWindow-1)]; *slot == b {
+		*slot = nil
+	} else {
+		delete(q.byTick, b.at)
+	}
 	return b
 }
 

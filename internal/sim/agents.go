@@ -38,15 +38,13 @@ func RunAgents(rule core.NodeRule, start *config.Config, r *rng.RNG, opts ...Opt
 	return runAgents(rule, nil, start, r, o)
 }
 
-// agentsState is the engine room of one agents run: the population arrays,
-// the per-round alias table (rebuilt in place — zero steady-state
-// allocations), and, when sharded, the worker pool with per-shard rule
-// instances, random streams and strided sample buffers.
+// agentsState is the engine room of one agents run: the population arrays
+// and, when sharded, the worker pool with per-shard rule instances, random
+// streams and strided sample buffers.
 type agentsState struct {
 	c     *config.Config
 	nodes []int // current per-node slot assignment
 	next  []int
-	alias *rng.Alias
 	h     int // samples per node (the max over groups when heterogeneous)
 
 	// Sequential path (p == 1): the run's own stream, chunk buffer and
@@ -133,7 +131,6 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 		c:     c,
 		nodes: c.Nodes(),
 		next:  make([]int, c.N()),
-		alias: rng.NewAliasCounts(c.CountsView()),
 		h:     rule.Samples(),
 		rule:  rule,
 		r:     r,
@@ -156,36 +153,36 @@ func newAgentsState(rule core.NodeRule, factory core.Factory, start *config.Conf
 	}
 
 	if st.behav != nil {
-		// Same stream/buffer derivation as newShardSetup, but the rules
-		// live in the behavior table and the buffers are sized for the
-		// max group sample count.
-		streams := make([]*rng.RNG, p)
-		bufs := make([][]int, p)
-		for s := 0; s < p; s++ {
-			streams[s] = r.Derive(uint64(s))
-			bufs[s] = make([]int, sampleChunk*st.h)
-		}
-		st.pool = newShardPool(c.N(), p, func(s, lo, hi int, tally []int) {
-			agentsShardRoundHetero(st, st.behav.rules[s], streams[s], bufs[s], lo, hi, tally)
-		})
-		return st, nil
+		factory = nil // the behavior table holds the per-shard rules
 	}
-
-	su, err := newShardSetup(rule, factory, p, o.engine, r)
+	su, err := newShardSetup(rule, factory, p, st.h, o.engine, r)
 	if err != nil {
 		return nil, err
 	}
 	st.pool = newShardPool(c.N(), p, func(s, lo, hi int, tally []int) {
-		agentsShardRound(st, su.rules[s], su.streams[s], su.bufs[s], lo, hi, tally)
+		if st.behav != nil {
+			agentsShardRoundHetero(st, st.behav.rules[s], su.streams[s], su.bufs[s], lo, hi, tally)
+		} else {
+			agentsShardRound(st, su.rules[s], su.streams[s], su.bufs[s], lo, hi, tally)
+		}
 	})
 	return st, nil
 }
 
-// agentsShardRound runs one round over the node range [lo, hi): it fills
-// the strided sample buffer one chunk of nodes at a time (a uniform node
-// pull is a categorical color draw, so the batched alias fill is the whole
-// sampling step), applies the per-node updates, and tallies the next-state
-// counts in the same pass.
+// pullChunk fills chunk with the colors of uniform node pulls (with
+// replacement, self included) from the previous round's node array.
+//
+//consensus:hotpath
+func pullChunk(nodes []int, r *rng.RNG, chunk []int) {
+	r.FillIntN(len(nodes), chunk)
+	for j, v := range chunk {
+		chunk[j] = nodes[v]
+	}
+}
+
+// agentsShardRound runs one round over the node range [lo, hi): it pulls
+// the strided sample buffer one chunk of nodes at a time, applies the
+// per-node updates, and tallies the next-state counts in the same pass.
 //
 //consensus:hotpath
 func agentsShardRound(st *agentsState, rule core.NodeRule, r *rng.RNG, buf []int, lo, hi int, tally []int) {
@@ -196,7 +193,7 @@ func agentsShardRound(st *agentsState, rule core.NodeRule, r *rng.RNG, buf []int
 			end = hi
 		}
 		chunk := buf[:(end-base)*h]
-		st.alias.DrawN(r, chunk)
+		pullChunk(st.nodes, r, chunk)
 		for i := base; i < end; i++ {
 			samples := chunk[(i-base)*h : (i-base+1)*h]
 			nxt := rule.Update(st.nodes[i], samples, r)
@@ -225,7 +222,7 @@ func agentsShardRoundHetero(st *agentsState, rules []core.NodeRule, r *rng.RNG, 
 			end = hi
 		}
 		chunk := buf[:(end-base)*h]
-		st.alias.DrawN(r, chunk)
+		pullChunk(st.nodes, r, chunk)
 		for i := base; i < end; i++ {
 			g := b.assign[i]
 			nxt := st.nodes[i]
@@ -239,16 +236,15 @@ func agentsShardRoundHetero(st *agentsState, rules []core.NodeRule, r *rng.RNG, 
 	}
 }
 
-// step advances the population by one synchronous round: a uniform node
-// pull is a categorical color draw with probabilities counts/n, so the
-// round's immutable snapshot is the alias table built from the previous
-// configuration; every node (in every shard) samples against it.
+// step advances the population by one synchronous round. The round's
+// immutable snapshot is the previous node array itself: every node (in
+// every shard) pulls from st.nodes and writes st.next, and the two swap at
+// the barrier.
 //
 //consensus:hotpath
 func (st *agentsState) step(round int) {
 	st.round = round
 	counts := st.c.CountsView()
-	st.alias.ResetCounts(counts)
 	if st.pool == nil {
 		st.tally = resizeInts(st.tally, len(counts))
 		clear(st.tally)

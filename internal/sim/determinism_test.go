@@ -31,11 +31,12 @@ import (
 // purpose (a sampler rework) regenerates them — but only together with
 // the statistical old-vs-new evidence in samplerchange_test.go, whose
 // fixture must be recorded from the pre-change engines first. Last
-// regenerated for the one-word batched alias draw (PR 3).
+// regenerated when the agents engine switched from an alias table over
+// the counts to uniform node-index pulls from the previous node array.
 
 // agentsGolden values were captured from the sequential agents engine at
-// the PR-3 sampler change (same seeds, default options). Any change to
-// these is a break in the p=1 stream contract.
+// that sampler change (same seeds, default options). Any change to these
+// is a break in the p=1 stream contract.
 var agentsGolden = []struct {
 	name   string
 	rule   func() core.Rule
@@ -45,10 +46,10 @@ var agentsGolden = []struct {
 	winner int
 	counts []int
 }{
-	{"voter", func() core.Rule { return rules.NewVoter() }, 128, 8, 7, 173, 5, []int{0, 0, 0, 0, 0, 128, 0, 0}},
-	{"3-majority", func() core.Rule { return rules.NewThreeMajority() }, 200, 5, 11, 18, 2, []int{0, 0, 200, 0, 0}},
-	{"2-choices", func() core.Rule { return rules.NewTwoChoices() }, 150, 6, 13, 17, 3, []int{0, 0, 0, 150, 0, 0}},
-	{"5-majority", func() core.Rule { return rules.NewHMajority(5) }, 100, 4, 17, 8, 0, []int{100, 0, 0, 0}},
+	{"voter", func() core.Rule { return rules.NewVoter() }, 128, 8, 7, 388, 5, []int{0, 0, 0, 0, 0, 128, 0, 0}},
+	{"3-majority", func() core.Rule { return rules.NewThreeMajority() }, 200, 5, 11, 15, 3, []int{0, 0, 0, 200, 0}},
+	{"2-choices", func() core.Rule { return rules.NewTwoChoices() }, 150, 6, 13, 18, 1, []int{0, 150, 0, 0, 0, 0}},
+	{"5-majority", func() core.Rule { return rules.NewHMajority(5) }, 100, 4, 17, 6, 0, []int{100, 0, 0, 0}},
 }
 
 func TestAgentsSequentialGolden(t *testing.T) {
@@ -118,10 +119,10 @@ func TestAgentsAdversarialGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Stable || res.Corrupted != 29 {
-		t.Errorf("stable=%v corrupted=%d, want stable with 29 corruptions", res.Stable, res.Corrupted)
+	if !res.Stable || res.Corrupted != 25 {
+		t.Errorf("stable=%v corrupted=%d, want stable with 25 corruptions", res.Stable, res.Corrupted)
 	}
-	checkGolden(t, "agents+noise", res, 22, 3, []int{0, 0, 0, 120})
+	checkGolden(t, "agents+noise", res, 19, 3, []int{0, 0, 0, 120})
 }
 
 func checkGolden(t *testing.T, name string, res *Result, rounds, winner int, counts []int) {

@@ -40,9 +40,8 @@ func RunOnGraph(rule core.NodeRule, g graph.Graph, colors []int, r *rng.RNG, opt
 }
 
 // graphState mirrors agentsState for the graph engine: the only difference
-// is the sampling step — uniform neighbors on g instead of uniform nodes —
-// so the round snapshot is the previous node-state array itself rather than
-// an alias table over the counts.
+// is the sampling step — uniform neighbors on g instead of uniform nodes.
+// On both engines the round snapshot is the previous node-state array.
 type graphState struct {
 	c     *config.Config
 	g     graph.Graph
@@ -83,7 +82,7 @@ func newGraphState(rule core.NodeRule, factory core.Factory, g graph.Graph, c *c
 		return st, nil
 	}
 
-	su, err := newShardSetup(rule, factory, p, o.engine, r)
+	su, err := newShardSetup(rule, factory, p, st.h, o.engine, r)
 	if err != nil {
 		return nil, err
 	}

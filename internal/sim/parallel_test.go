@@ -45,10 +45,10 @@ func BenchmarkRoundAgentsParallel(b *testing.B) {
 }
 
 // TestAgentsRoundZeroSteadyStateAllocs: after warm-up, an agents round must
-// not allocate — the alias table, sample buffers and shard tallies are all
-// reused in place. Guards the perf fix that stopped rebuilding
-// rng.NewAliasCounts every round. Each measured step runs
-// agentsShardRound over every shard (the //consensus:hotpath round body).
+// not allocate — the sample buffers and shard tallies are reused in place
+// and the round pulls straight from the previous node array. Each measured
+// step runs agentsShardRound and its pullChunk fills over every shard (the
+// //consensus:hotpath round body).
 func TestAgentsRoundZeroSteadyStateAllocs(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {

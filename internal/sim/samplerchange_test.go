@@ -54,7 +54,7 @@ type equivFixture struct {
 // equivSuiteDefs enumerates the recorded workloads: every engine whose draw
 // stream the samplers feed, with and without the §5 adversary, plus the
 // h-Majority rule on both the batch law and the per-node engine, and
-// batch 2-Choices from many colors.
+// batch 2-Choices and agents 3-Majority from many colors.
 var equivSuiteDefs = []struct {
 	name string
 	k    int
@@ -121,6 +121,16 @@ var equivSuiteDefs = []struct {
 		run: func(rep int) (*Result, error) {
 			return NewRunner(rules.NewTwoChoices(),
 				WithEngine(EngineBatch), WithSeed(46_000+uint64(rep))).
+				Run(context.Background(), config.Singleton(256))
+		},
+	},
+	{
+		// Many colors on the per-node engine: the regime where the
+		// round's sampler works over k = n slots.
+		name: "agents/3-majority/many-colors", k: 256, reps: 120,
+		run: func(rep int) (*Result, error) {
+			return NewRunner(rules.NewThreeMajority(),
+				WithEngine(EngineAgents), WithSeed(47_000+uint64(rep))).
 				Run(context.Background(), config.Singleton(256))
 		},
 	},

@@ -10,9 +10,10 @@ import (
 // sampleChunk is the number of nodes whose samples are drawn per batched
 // fill: each engine walks its node range in chunks of this many nodes,
 // fills a strided sample buffer (node i's samples at [i·h, (i+1)·h)) with
-// one rng.Alias.DrawN / rng.RNG.FillIntN call, and then applies the
-// per-node updates, tallying next-state counts in the same pass. Large
-// enough to amortize the RNG dispatch, small enough to stay in L1.
+// one rng.RNG.FillIntN call, resolves the indices to colors through the
+// previous node array, and then applies the per-node updates, tallying
+// next-state counts in the same pass. Large enough to amortize the RNG
+// dispatch, small enough to stay in L1.
 const sampleChunk = 256
 
 // shardSetup is the per-shard state both per-node engines share: one rule
@@ -22,20 +23,19 @@ type shardSetup struct {
 	rules   []core.NodeRule
 	streams []*rng.RNG
 	bufs    [][]int
-	h       int
 }
 
-// newShardSetup resolves the per-shard state for p shards. Shard 0 runs the
-// primary rule instance; the rest get fresh factory instances when a
-// factory is available, and otherwise share the primary (whose Update must
-// then be concurrency-safe). Streams are derived up front from the run's
-// stream in shard order, so the assignment is a pure function of (seed, p).
-func newShardSetup(rule core.NodeRule, factory core.Factory, p int, e Engine, r *rng.RNG) (*shardSetup, error) {
+// newShardSetup resolves the per-shard state for p shards, with sample
+// buffers for h samples per node. Shard 0 runs the primary rule instance;
+// the rest get fresh factory instances when a factory is available, and
+// otherwise share the primary (whose Update must then be
+// concurrency-safe). Streams are derived up front from the run's stream in
+// shard order, so the assignment is a pure function of (seed, p).
+func newShardSetup(rule core.NodeRule, factory core.Factory, p, h int, e Engine, r *rng.RNG) (*shardSetup, error) {
 	su := &shardSetup{
 		rules:   make([]core.NodeRule, p),
 		streams: make([]*rng.RNG, p),
 		bufs:    make([][]int, p),
-		h:       rule.Samples(),
 	}
 	su.rules[0] = rule
 	for s := 0; s < p; s++ {
@@ -51,7 +51,7 @@ func newShardSetup(rule core.NodeRule, factory core.Factory, p int, e Engine, r 
 			}
 		}
 		su.streams[s] = r.Derive(uint64(s))
-		su.bufs[s] = make([]int, sampleChunk*su.h)
+		su.bufs[s] = make([]int, sampleChunk*h)
 	}
 	return su, nil
 }
@@ -66,8 +66,8 @@ func newShardSetup(rule core.NodeRule, factory core.Factory, p int, e Engine, r 
 // step sizes and zeroes the tallies, releases the workers, and blocks until
 // all shards reach the round barrier; merge then folds the per-shard
 // tallies into the global counts. Shards must only read state that is
-// immutable for the duration of the round (the previous node states and the
-// round's alias table) and write disjoint ranges plus their own tally.
+// immutable for the duration of the round (the previous node states) and
+// write disjoint ranges plus their own tally.
 type shardPool struct {
 	p      int
 	bounds []int   // p+1 shard boundaries over [0, n)

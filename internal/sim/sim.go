@@ -448,12 +448,16 @@ func runLoop(c *config.Config, r *rng.RNG, o options, step func(round int) int, 
 	}
 	streakLabel := 0
 	streak := 0
+	// reached[i] marks o.colorTimes[i] as recorded, so a round costs no
+	// map probe per κ. Equal κ values are reached in the same round.
+	reached := make([]bool, len(o.colorTimes))
 
 	record := func(round int) bool {
 		cfg := current()
 		k := cfg.Remaining()
-		for _, kappa := range o.colorTimes {
-			if _, done := res.ColorTimes[kappa]; !done && k <= kappa {
+		for i, kappa := range o.colorTimes {
+			if !reached[i] && k <= kappa {
+				reached[i] = true
 				res.ColorTimes[kappa] = round
 			}
 		}
